@@ -10,12 +10,14 @@
 // and a log-transition table rebuilt on every Viterbi call — inlined here
 // so the comparison survives the refactor it measures. Each kernel-path
 // benchmark first checks its log-likelihood against the baseline to 1e-12
-// relative error and aborts on mismatch.
+// relative error, and its Viterbi path and log joint bitwise, and aborts on
+// mismatch.
 #include <benchmark/benchmark.h>
 
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
+#include <cstring>
 #include <limits>
 #include <string>
 #include <vector>
@@ -219,13 +221,16 @@ void CheckParity(const Chain& c) {
                  fb.log_likelihood, bfb.log_likelihood, rel);
     std::abort();
   }
+  // Viterbi is exact: every candidate is one IEEE add of the same operands
+  // in both forms, so path and log joint must match bitwise.
   hmm::ViterbiResult vb, vk;
   BaselineViterbi(c.pi, c.a, c.log_b, &bws, &vb);
   vk = hmm::Viterbi(c.pi, c.a, c.log_b);
   if (vk.path != vb.path ||
-      std::fabs(vk.log_joint - vb.log_joint) >
-          1e-12 * std::max(1.0, std::fabs(vb.log_joint))) {
-    std::fprintf(stderr, "kernel/baseline Viterbi mismatch\n");
+      std::memcmp(&vk.log_joint, &vb.log_joint, sizeof(double)) != 0) {
+    std::fprintf(stderr,
+                 "kernel/baseline Viterbi mismatch: %.17g vs %.17g\n",
+                 vk.log_joint, vb.log_joint);
     std::abort();
   }
 }
@@ -384,6 +389,28 @@ void BM_ForwardBackwardIsa(benchmark::State& state, klib::Isa isa, size_t k,
                           static_cast<int64_t>(t));
 }
 
+// The Viterbi counterpart: the row-form viterbi_step per ISA at the
+// fixed-k shape the small serving models use (k = 5) and at the generic
+// shapes whose speedup bars are read off these series (k = 20, 50).
+void BM_ViterbiIsa(benchmark::State& state, klib::Isa isa, size_t k,
+                   size_t t) {
+  Chain c = MakeChain(k, t);
+  const klib::Isa restore = klib::ActiveIsa();
+  if (!klib::internal::ForceIsaForTestOnly(isa)) {
+    state.SkipWithError("kernel ISA not runnable on this host");
+    return;
+  }
+  hmm::InferenceWorkspace ws;
+  hmm::ViterbiResult res;
+  for (auto _ : state) {
+    hmm::Viterbi(c.pi, c.a, c.log_b, &ws, &res);
+    benchmark::DoNotOptimize(res.log_joint);
+  }
+  klib::internal::ForceIsaForTestOnly(restore);
+  state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) *
+                          static_cast<int64_t>(t));
+}
+
 int RegisterPerIsaBenches() {
   for (klib::Isa isa : klib::CompiledIsas()) {
     if (!klib::IsaAvailable(isa)) continue;
@@ -398,6 +425,18 @@ int RegisterPerIsaBenches() {
           });
     }
   }
+  for (klib::Isa isa : klib::CompiledIsas()) {
+    if (!klib::IsaAvailable(isa)) continue;
+    for (size_t k : {size_t{5}, size_t{20}, size_t{50}}) {
+      const std::string name = std::string("BM_ViterbiIsa/") +
+                               klib::IsaName(isa) + "/k:" +
+                               std::to_string(k) + "/T:100";
+      benchmark::RegisterBenchmark(name.c_str(),
+                                   [isa, k](benchmark::State& state) {
+                                     BM_ViterbiIsa(state, isa, k, 100);
+                                   });
+    }
+  }
   return 0;
 }
 
@@ -405,8 +444,9 @@ int RegisterPerIsaBenches() {
 //
 // Before anything is timed, every compiled ISA's tables (generic and
 // fixed-k) are compared against the scalar oracle on randomized data over
-// the shapes the engine uses — abort on any divergence beyond 1e-12, so a
-// broken variant can never produce a plausible-looking benchmark number.
+// the shapes the engine uses — abort on any divergence beyond 1e-12 (any
+// divergence at all for viterbi_step), so a broken variant can never
+// produce a plausible-looking benchmark number.
 
 void CheckDispatchParityOrDie() {
   prob::Rng rng(20160516);
@@ -455,6 +495,17 @@ void CheckDispatchParityOrDie() {
                         xi1.data());
       for (size_t i = 0; i < n; ++i) note(v0[i] - v1[i]);
       for (size_t i = 0; i < n * n; ++i) note(xi0[i] - xi1[i]);
+      // viterbi_step is held to bitwise equality, not the 1e-12 bound.
+      std::vector<int> p0(n), p1(n);
+      kt.viterbi_step(x.data(), a.data(), y.data(), n, v0.data(), p0.data());
+      sc.viterbi_step(x.data(), a.data(), y.data(), n, v1.data(), p1.data());
+      if (p0 != p1 || std::memcmp(v0.data(), v1.data(), n * sizeof(double))) {
+        std::fprintf(stderr,
+                     "kernel dispatch parity failure: %s viterbi_step not "
+                     "bitwise equal to scalar at n=%zu\n",
+                     kt.name, n);
+        std::abort();
+      }
       if (worst > 1e-12) {
         std::fprintf(stderr,
                      "kernel dispatch parity failure: %s vs scalar at n=%zu "

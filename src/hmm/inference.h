@@ -21,10 +21,9 @@
 // (restrict pointers, fixed 4-way accumulation order, 64-byte-aligned
 // storage): results are bitwise reproducible for a given input regardless of
 // workspace reuse or thread count. Transition-matrix derivatives (the
-// transpose used by the forward pass and the log-transpose used by Viterbi)
-// are cached in the workspace keyed by the matrix contents, so they are
-// rebuilt once per EM iteration instead of re-read column-wise T times per
-// sequence.
+// transpose used by the forward pass and the elementwise log used by
+// Viterbi) are cached in the workspace keyed by the matrix contents, so
+// they are rebuilt once per EM iteration instead of once per sequence.
 #ifndef DHMM_HMM_INFERENCE_H_
 #define DHMM_HMM_INFERENCE_H_
 
@@ -49,8 +48,8 @@ std::string FrameError(const char* what, size_t t);
 /// \brief Content-keyed cache of derived views of a transition matrix.
 ///
 /// The forward recursion consumes A column-wise (alpha_t = A^T alpha_{t-1})
-/// and Viterbi consumes log A column-wise; both want a contiguous row to dot
-/// against. The cache stores A^T (and lazily log A^T) and revalidates by
+/// and wants a contiguous row to dot against; Viterbi sweeps rows of log A.
+/// The cache stores A^T (and lazily log A) and revalidates by
 /// bitwise comparison against a snapshot of A, so the rebuild happens once
 /// per EM iteration (when the M-step writes a new A) rather than per
 /// sequence. Rebuilds are in-place for a fixed k: no steady-state heap
@@ -60,9 +59,9 @@ class TransitionCache {
   /// Returns A^T, rebuilding iff `a` differs bitwise from the snapshot.
   const linalg::Matrix& Transpose(const linalg::Matrix& a);
 
-  /// Returns elementwise log(A)^T with log(0) = -inf, rebuilding on the
-  /// same staleness condition (and lazily on first use).
-  const linalg::Matrix& LogTranspose(const linalg::Matrix& a);
+  /// Returns row-major elementwise log(A) with log(0) = -inf, rebuilding
+  /// on the same staleness condition (and lazily on first use).
+  const linalg::Matrix& Log(const linalg::Matrix& a);
 
   /// Bumped every time the snapshot is refreshed; tests use this to assert
   /// the cache rebuilds exactly when A changes.
@@ -74,7 +73,7 @@ class TransitionCache {
 
   linalg::Matrix a_copy_;    // bitwise snapshot of A for staleness detection
   linalg::Matrix a_t_;       // A^T
-  linalg::Matrix log_a_t_;   // log(A)^T, built lazily for Viterbi
+  linalg::Matrix log_a_;     // log(A), built lazily for Viterbi
   bool log_valid_ = false;
   uint64_t version_ = 0;
 };
@@ -95,7 +94,7 @@ struct InferenceWorkspace {
   linalg::Vector frame_u;    ///< k hoisted backward frame product
                              ///< btilde(t+1,.) * beta_hat(t+1,.) / c_{t+1}
 
-  // Cached transition-matrix derivatives (transpose / log-transpose).
+  // Cached transition-matrix derivatives (transpose / log).
   TransitionCache transition;
 
   // Viterbi scratch.

@@ -109,6 +109,29 @@ double ExpShiftRow(const double* DHMM_RESTRICT x, std::size_t n,
   return m;
 }
 
+void ViterbiStep(const double* DHMM_RESTRICT prev,
+                 const double* DHMM_RESTRICT log_a,
+                 const double* DHMM_RESTRICT log_b, std::size_t k,
+                 double* DHMM_RESTRICT delta, int* DHMM_RESTRICT psi) {
+  // delta holds best[] until the final emission add.
+  for (std::size_t j = 0; j < k; ++j) {
+    delta[j] = prev[0] + log_a[j];
+    psi[j] = 0;
+  }
+  for (std::size_t i = 1; i < k; ++i) {
+    const double p = prev[i];
+    const double* DHMM_RESTRICT row = log_a + i * k;
+    for (std::size_t j = 0; j < k; ++j) {
+      const double cand = p + row[j];
+      if (cand > delta[j]) {
+        delta[j] = cand;
+        psi[j] = static_cast<int>(i);
+      }
+    }
+  }
+  for (std::size_t j = 0; j < k; ++j) delta[j] += log_b[j];
+}
+
 void TransposeInto(const double* DHMM_RESTRICT a, std::size_t m,
                    std::size_t n, double* DHMM_RESTRICT out) {
   for (std::size_t i = 0; i < m; ++i) {

@@ -32,7 +32,7 @@
 
 namespace dhmm::linalg::kernels {
 
-// The branchy scan primitives (argmax) and cheap elementwise maps are
+// The branchy argmax scan and cheap elementwise maps are
 // defined inline: the chain recursions call them once per (frame, state)
 // pair with rows as short as k = 2, where an out-of-line call costs more
 // than the loop body. The reduction/axpy kernels stay out-of-line in
@@ -61,25 +61,6 @@ inline std::size_t ArgMaxRow(const double* DHMM_RESTRICT x, std::size_t n) {
       arg = i;
     }
   }
-  return arg;
-}
-
-/// \brief Index maximizing x[i] + y[i]; lowest index wins ties, the winning
-/// value is written to *best. n > 0. This is one Viterbi transition step
-/// against a row of the cached transposed log-transition matrix.
-inline std::size_t ArgMaxSumRow(const double* DHMM_RESTRICT x,
-                                const double* DHMM_RESTRICT y, std::size_t n,
-                                double* DHMM_RESTRICT best) {
-  std::size_t arg = 0;
-  double b = x[0] + y[0];
-  for (std::size_t i = 1; i < n; ++i) {
-    const double v = x[i] + y[i];
-    if (v > b) {
-      b = v;
-      arg = i;
-    }
-  }
-  *best = b;
   return arg;
 }
 
@@ -180,6 +161,20 @@ void BackwardFused(const double* DHMM_RESTRICT a, const double* DHMM_RESTRICT u,
 /// input is -inf; callers treat that as a zero-probability frame.
 double ExpShiftRow(const double* DHMM_RESTRICT x, std::size_t n,
                    double* DHMM_RESTRICT out);
+
+/// \brief One frame of the max-plus Viterbi recursion in row form over
+/// row-major log A (k x k): best[j] = prev[0] + log_a(0,j), psi[j] = 0;
+/// then for i = 1..k-1 ascending, cand = prev[i] + log_a(i,j) replaces
+/// best[j] (and psi[j] = i) only when cand > best[j]; finally
+/// delta[j] = best[j] + log_b[j]. Strict > with ascending i keeps the
+/// lowest-index predecessor on ties, a NaN first candidate sticks, and a
+/// later NaN candidate never wins. Every candidate is one IEEE add, so
+/// every ISA variant is bitwise equal to this oracle (delta and psi).
+/// k > 0; delta must not alias prev.
+void ViterbiStep(const double* DHMM_RESTRICT prev,
+                 const double* DHMM_RESTRICT log_a,
+                 const double* DHMM_RESTRICT log_b, std::size_t k,
+                 double* DHMM_RESTRICT delta, int* DHMM_RESTRICT psi);
 
 /// \brief out = A^T for row-major A (m x n); out is n x m row-major.
 void TransposeInto(const double* DHMM_RESTRICT a, std::size_t m,

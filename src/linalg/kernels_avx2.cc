@@ -38,6 +38,11 @@
 //  - ExpShiftRow is the MaxRow contract followed by the shared PolyExp
 //    per element (vector lanes and scalar tail evaluate the identical
 //    operation sequence; see kernels_poly_exp.h).
+//  - ViterbiStep is the row form of kernels.h with no reassociation at
+//    all: 4-lane column blocks, kViterbiTile2 blocks per pass over the
+//    predecessors (the final block masked), one vaddpd per candidate and
+//    vmaxpd(cand, best) plus an ordered > compare per predecessor. It is
+//    bitwise equal to the scalar oracle, delta and psi alike.
 //
 // NaN semantics of MaxRow match the scalar oracle: a NaN candidate never
 // replaces the running max (vmaxpd(x, acc) keeps acc when x is NaN).
@@ -392,6 +397,106 @@ double ExpShiftRowAvx2(const double* DHMM_RESTRICT x, std::size_t n,
   return m;
 }
 
+// Row-form Viterbi (see kernels.h ViterbiStep) over one tile of B 4-lane
+// column blocks starting at column j0; when kTail the last block holds
+// only `rem` columns and is loaded/stored under the lane mask `tail`.
+// Each block keeps best[] and its argmax (as exact small doubles) in
+// registers. Per predecessor i, vmaxpd(cand, best) is exactly
+// `cand > best ? cand : best` (a NaN in either operand keeps best) and the
+// same ordered compare blends i into the index lanes, so every lane
+// reproduces the oracle's strict-> scan. Masked-off lanes compute on zeros
+// and are never stored. The B blocks' chains are independent, which is
+// what hides the vmaxpd/vcmppd latency.
+template <int B, bool kTail>
+inline void ViterbiTileAvx2(const double* DHMM_RESTRICT prev,
+                            const double* DHMM_RESTRICT log_a,
+                            const double* DHMM_RESTRICT log_b, std::size_t k,
+                            std::size_t j0, std::size_t rem,
+                            double* DHMM_RESTRICT delta,
+                            int* DHMM_RESTRICT psi) {
+  const __m256i tail = _mm256_loadu_si256(
+      reinterpret_cast<const __m256i*>(kTailMask + (4 - rem)));
+  auto load = [tail](const double* DHMM_RESTRICT p, int b) {
+    return kTail && b == B - 1 ? _mm256_maskload_pd(p + 4 * b, tail)
+                               : _mm256_loadu_pd(p + 4 * b);
+  };
+  __m256d best[B];
+  __m256d arg[B];
+  const __m256d p0 = _mm256_set1_pd(prev[0]);
+  for (int b = 0; b < B; ++b) {
+    best[b] = _mm256_add_pd(p0, load(log_a + j0, b));
+    arg[b] = _mm256_setzero_pd();
+  }
+  for (std::size_t i = 1; i < k; ++i) {
+    const __m256d pv = _mm256_set1_pd(prev[i]);
+    const __m256d iv = _mm256_set1_pd(static_cast<double>(i));
+    const double* DHMM_RESTRICT row = log_a + i * k + j0;
+    for (int b = 0; b < B; ++b) {
+      const __m256d cand = _mm256_add_pd(pv, load(row, b));
+      const __m256d win = _mm256_cmp_pd(cand, best[b], _CMP_GT_OQ);
+      best[b] = _mm256_max_pd(cand, best[b]);
+      arg[b] = _mm256_blendv_pd(arg[b], iv, win);
+    }
+  }
+  for (int b = 0; b < B; ++b) {
+    const std::size_t j = j0 + 4 * b;
+    const __m256d d = _mm256_add_pd(best[b], load(log_b + j0, b));
+    const __m128i idx = _mm256_cvtpd_epi32(arg[b]);
+    if (kTail && b == B - 1) {
+      _mm256_maskstore_pd(delta + j, tail, d);
+      alignas(16) int lanes[4];
+      _mm_store_si128(reinterpret_cast<__m128i*>(lanes), idx);
+      for (std::size_t r = 0; r < rem; ++r) psi[j + r] = lanes[r];
+    } else {
+      _mm256_storeu_pd(delta + j, d);
+      _mm_storeu_si128(reinterpret_cast<__m128i*>(psi + j), idx);
+    }
+  }
+}
+
+// Column blocks per pass over the predecessors: 2 * kViterbiTile2
+// accumulators plus the broadcasts and temporaries fit the 16 ymm
+// registers without spilling.
+constexpr int kViterbiTile2 = 4;
+
+// The final tile: `blocks` in [1, B] blocks, the last partial iff rem > 0.
+template <int B>
+inline void ViterbiLastTileAvx2(std::size_t blocks,
+                                const double* DHMM_RESTRICT prev,
+                                const double* DHMM_RESTRICT log_a,
+                                const double* DHMM_RESTRICT log_b,
+                                std::size_t k, std::size_t j0, std::size_t rem,
+                                double* DHMM_RESTRICT delta,
+                                int* DHMM_RESTRICT psi) {
+  if constexpr (B > 1) {
+    if (blocks < B) {
+      ViterbiLastTileAvx2<B - 1>(blocks, prev, log_a, log_b, k, j0, rem,
+                                 delta, psi);
+      return;
+    }
+  }
+  if (rem != 0) {
+    ViterbiTileAvx2<B, true>(prev, log_a, log_b, k, j0, rem, delta, psi);
+  } else {
+    ViterbiTileAvx2<B, false>(prev, log_a, log_b, k, j0, 4, delta, psi);
+  }
+}
+
+void ViterbiStepAvx2(const double* DHMM_RESTRICT prev,
+                     const double* DHMM_RESTRICT log_a,
+                     const double* DHMM_RESTRICT log_b, std::size_t k,
+                     double* DHMM_RESTRICT delta, int* DHMM_RESTRICT psi) {
+  std::size_t blocks = (k + 3) / 4;
+  std::size_t j0 = 0;
+  for (; blocks > kViterbiTile2; blocks -= kViterbiTile2) {
+    ViterbiTileAvx2<kViterbiTile2, false>(prev, log_a, log_b, k, j0, 4, delta,
+                                          psi);
+    j0 += 4 * kViterbiTile2;
+  }
+  ViterbiLastTileAvx2<kViterbiTile2>(blocks, prev, log_a, log_b, k, j0, k & 3,
+                                     delta, psi);
+}
+
 // All tables below are constant-initialized (no dynamic initializers), so
 // dispatch resolution is safe even from another TU's static initializer.
 constexpr KernelTable kAvx2Generic = {
@@ -407,6 +512,7 @@ constexpr KernelTable kAvx2Generic = {
     &MatVecColMulAvx2,
     &BackwardFusedAvx2,
     &ExpShiftRowAvx2,
+    &ViterbiStepAvx2,
     Isa::kAvx2,
     "avx2",
     0};
@@ -422,6 +528,7 @@ template <std::size_t K>
 constexpr KernelTable MakeFixed() {
   KernelTable t =
       fixed_k::MakeFixedTable<K>(Isa::kAvx2, fixed_k::kAvx2FixedNames[K]);
+  t.viterbi_step = &ViterbiStepAvx2;
   if (K >= 4) {
     t.mul_row_scaled_into = &MulRowScaledIntoAvx2;
     t.axpy_mul_row = &AxpyMulRowAvx2;

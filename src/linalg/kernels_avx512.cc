@@ -34,6 +34,11 @@
 //    mask, sharing each row's loads with the beta dot.
 //  - ExpShiftRow is MaxRow followed by the shared PolyExp per element
 //    (lanes and tail evaluate the identical operation sequence).
+//  - ViterbiStep is the row form of kernels.h with no reassociation at
+//    all: 8-lane column blocks, kViterbiTile512 blocks per pass over the
+//    predecessors (the final block masked), one vaddpd per candidate and
+//    vmaxpd(cand, best) plus an ordered > compare per predecessor. It is
+//    bitwise equal to the scalar oracle, delta and psi alike.
 //
 // NaN semantics of MaxRow match the scalar oracle (vmaxpd keeps the
 // accumulator when the data operand is NaN). Loads/stores are
@@ -386,6 +391,102 @@ double ExpShiftRowAvx512(const double* DHMM_RESTRICT x, std::size_t n,
   return m;
 }
 
+// Row-form Viterbi (see kernels.h ViterbiStep) over one tile of B 8-lane
+// column blocks starting at column j0; when kTail the last block is
+// partial and is loaded/stored under `tail`. Each block keeps best[] in a
+// register and its argmax as int64 lanes. Per predecessor i,
+// vmaxpd(cand, best) is exactly `cand > best ? cand : best` (a NaN in
+// either operand keeps best) and the same ordered compare moves i into
+// the index lanes, so every lane reproduces the oracle's strict-> scan.
+// Masked-off lanes compute on zeros and are never stored. The B blocks'
+// max/compare chains are independent, which is what hides their latency.
+template <int B, bool kTail>
+inline void ViterbiTileAvx512(const double* DHMM_RESTRICT prev,
+                              const double* DHMM_RESTRICT log_a,
+                              const double* DHMM_RESTRICT log_b,
+                              std::size_t k, std::size_t j0, __mmask8 tail,
+                              double* DHMM_RESTRICT delta,
+                              int* DHMM_RESTRICT psi) {
+  auto load = [tail](const double* DHMM_RESTRICT p, int b) {
+    return kTail && b == B - 1 ? _mm512_maskz_loadu_pd(tail, p + 8 * b)
+                               : _mm512_loadu_pd(p + 8 * b);
+  };
+  __m512d best[B];
+  __m512i arg[B];
+  const __m512d p0 = _mm512_set1_pd(prev[0]);
+  for (int b = 0; b < B; ++b) {
+    best[b] = _mm512_add_pd(p0, load(log_a + j0, b));
+    arg[b] = _mm512_setzero_si512();
+  }
+  for (std::size_t i = 1; i < k; ++i) {
+    const __m512d pv = _mm512_set1_pd(prev[i]);
+    const __m512i iv = _mm512_set1_epi64(static_cast<long long>(i));
+    const double* DHMM_RESTRICT row = log_a + i * k + j0;
+    for (int b = 0; b < B; ++b) {
+      const __m512d cand = _mm512_add_pd(pv, load(row, b));
+      const __mmask8 win = _mm512_cmp_pd_mask(cand, best[b], _CMP_GT_OQ);
+      best[b] = _mm512_max_pd(cand, best[b]);
+      arg[b] = _mm512_mask_mov_epi64(arg[b], win, iv);
+    }
+  }
+  for (int b = 0; b < B; ++b) {
+    const std::size_t j = j0 + 8 * b;
+    const __m512d d = _mm512_add_pd(best[b], load(log_b + j0, b));
+    if (kTail && b == B - 1) {
+      _mm512_mask_storeu_pd(delta + j, tail, d);
+      _mm512_mask_cvtepi64_storeu_epi32(psi + j, tail, arg[b]);
+    } else {
+      _mm512_storeu_pd(delta + j, d);
+      _mm256_storeu_si256(reinterpret_cast<__m256i*>(psi + j),
+                          _mm512_cvtepi64_epi32(arg[b]));
+    }
+  }
+}
+
+// Column blocks per pass over the predecessors: 2 * kViterbiTile512
+// accumulators stay in registers, enough independent chains to cover the
+// vmaxpd latency.
+constexpr int kViterbiTile512 = 4;
+
+// The final tile: `blocks` in [1, B] blocks, the last partial iff tail.
+template <int B>
+inline void ViterbiLastTileAvx512(std::size_t blocks, bool has_tail,
+                                  const double* DHMM_RESTRICT prev,
+                                  const double* DHMM_RESTRICT log_a,
+                                  const double* DHMM_RESTRICT log_b,
+                                  std::size_t k, std::size_t j0,
+                                  __mmask8 tail, double* DHMM_RESTRICT delta,
+                                  int* DHMM_RESTRICT psi) {
+  if constexpr (B > 1) {
+    if (blocks < B) {
+      ViterbiLastTileAvx512<B - 1>(blocks, has_tail, prev, log_a, log_b, k,
+                                   j0, tail, delta, psi);
+      return;
+    }
+  }
+  if (has_tail) {
+    ViterbiTileAvx512<B, true>(prev, log_a, log_b, k, j0, tail, delta, psi);
+  } else {
+    ViterbiTileAvx512<B, false>(prev, log_a, log_b, k, j0, tail, delta, psi);
+  }
+}
+
+void ViterbiStepAvx512(const double* DHMM_RESTRICT prev,
+                       const double* DHMM_RESTRICT log_a,
+                       const double* DHMM_RESTRICT log_b, std::size_t k,
+                       double* DHMM_RESTRICT delta, int* DHMM_RESTRICT psi) {
+  std::size_t blocks = (k + 7) / 8;
+  std::size_t j0 = 0;
+  for (; blocks > kViterbiTile512; blocks -= kViterbiTile512) {
+    ViterbiTileAvx512<kViterbiTile512, false>(prev, log_a, log_b, k, j0, 0,
+                                              delta, psi);
+    j0 += 8 * kViterbiTile512;
+  }
+  ViterbiLastTileAvx512<kViterbiTile512>(blocks, (k & 7) != 0, prev, log_a,
+                                         log_b, k, j0, TailMask512(k), delta,
+                                         psi);
+}
+
 // Constant-initialized (no dynamic initializers): dispatch resolution is
 // safe even from another TU's static initializer.
 constexpr KernelTable kAvx512Generic = {
@@ -401,6 +502,7 @@ constexpr KernelTable kAvx512Generic = {
     &MatVecColMulAvx512,
     &BackwardFusedAvx512,
     &ExpShiftRowAvx512,
+    &ViterbiStepAvx512,
     Isa::kAvx512,
     "avx512",
     0};
@@ -416,6 +518,7 @@ template <std::size_t K>
 constexpr KernelTable MakeFixed() {
   KernelTable t =
       fixed_k::MakeFixedTable<K>(Isa::kAvx512, fixed_k::kAvx512FixedNames[K]);
+  t.viterbi_step = &ViterbiStepAvx512;
   if (K >= 8) {
     t.mul_row_scaled_into = &MulRowScaledIntoAvx512;
     t.axpy_mul_row = &AxpyMulRowAvx512;

@@ -26,7 +26,11 @@
 //    the variant TUs), so results are bitwise reproducible across calls,
 //    thread counts, and buffer reuse within a selected ISA. Cross-ISA
 //    parity versus the scalar oracle is <= 1e-12 (tests/kernels_test.cc
-//    grid, plus the startup check in bench/perf_hmm_ops).
+//    grid, plus the startup check in bench/perf_hmm_ops) — except
+//    viterbi_step, whose max-plus row form has no reduction to reorder and
+//    is bitwise equal to the oracle on every ISA. The fixed-k tables reuse
+//    their ISA's generic viterbi_step: at k <= 8 the row form is one or
+//    two vector blocks per predecessor already.
 //
 // On non-x86 hosts (or toolchains without the -m flags) the variant TUs
 // compile to stubs and dispatch resolves to scalar — the portable build
@@ -87,6 +91,10 @@ struct KernelTable {
                          double* DHMM_RESTRICT xi);
   double (*exp_shift_row)(const double* DHMM_RESTRICT x, std::size_t n,
                           double* DHMM_RESTRICT out);
+  void (*viterbi_step)(const double* DHMM_RESTRICT prev,
+                       const double* DHMM_RESTRICT log_a,
+                       const double* DHMM_RESTRICT log_b, std::size_t k,
+                       double* DHMM_RESTRICT delta, int* DHMM_RESTRICT psi);
 
   Isa isa = Isa::kScalar;
   const char* name = "scalar";  ///< e.g. "avx2", "avx512/k4"

@@ -37,6 +37,10 @@ Registry::Entry* Registry::FindLocked(const std::string& name) {
 
 Counter* Registry::GetCounter(const std::string& name) {
   std::lock_guard<std::mutex> lock(mu_);
+  return GetCounterLocked(name);
+}
+
+Counter* Registry::GetCounterLocked(const std::string& name) {
   if (Entry* e = FindLocked(name)) {
     DHMM_CHECK_MSG(e->kind == MetricKind::kCounter,
                    "obs metric re-registered as a different kind");
@@ -44,8 +48,25 @@ Counter* Registry::GetCounter(const std::string& name) {
   }
   counters_.emplace_back();
   entries_.push_back(
-      {name, MetricKind::kCounter, &counters_.back(), nullptr, nullptr});
+      {name, MetricKind::kCounter, &counters_.back(), nullptr, nullptr, {}});
   return &counters_.back();
+}
+
+void Registry::RegisterCounterSum(const std::string& name,
+                                  const std::vector<std::string>& parts) {
+  std::lock_guard<std::mutex> lock(mu_);
+  std::vector<std::size_t> idx;
+  for (const std::string& part : parts) {
+    GetCounterLocked(part);
+    idx.push_back(static_cast<std::size_t>(FindLocked(part) - &entries_[0]));
+  }
+  if (Entry* e = FindLocked(name)) {
+    DHMM_CHECK_MSG(e->kind == MetricKind::kCounterSum && e->parts == idx,
+                   "obs counter sum re-registered differently");
+    return;
+  }
+  entries_.push_back({name, MetricKind::kCounterSum, nullptr, nullptr,
+                      nullptr, std::move(idx)});
 }
 
 Gauge* Registry::GetGauge(const std::string& name) {
@@ -57,7 +78,7 @@ Gauge* Registry::GetGauge(const std::string& name) {
   }
   gauges_.emplace_back();
   entries_.push_back(
-      {name, MetricKind::kGauge, nullptr, &gauges_.back(), nullptr});
+      {name, MetricKind::kGauge, nullptr, &gauges_.back(), nullptr, {}});
   return &gauges_.back();
 }
 
@@ -69,23 +90,37 @@ Histogram* Registry::GetHistogram(const std::string& name) {
     return e->histogram;
   }
   histograms_.emplace_back();
-  entries_.push_back(
-      {name, MetricKind::kHistogram, nullptr, nullptr, &histograms_.back()});
+  entries_.push_back({name, MetricKind::kHistogram, nullptr, nullptr,
+                      &histograms_.back(), {}});
   return &histograms_.back();
 }
 
 Snapshot Registry::TakeSnapshot(const std::string& prefix) const {
   Snapshot snap;
   std::lock_guard<std::mutex> lock(mu_);
-  for (const Entry& e : entries_) {
+  // Every counter is read exactly once, before anything is emitted; the
+  // counter sums add up those same reads.
+  std::vector<uint64_t> counts(entries_.size(), 0);
+  for (std::size_t i = 0; i < entries_.size(); ++i) {
+    if (entries_[i].kind == MetricKind::kCounter) {
+      counts[i] = entries_[i].counter->Value();
+    }
+  }
+  for (std::size_t i = 0; i < entries_.size(); ++i) {
+    const Entry& e = entries_[i];
     if (!prefix.empty() && e.name.compare(0, prefix.size(), prefix) != 0) {
       continue;
     }
     switch (e.kind) {
       case MetricKind::kCounter:
-        snap.values.emplace_back(e.name,
-                                 static_cast<double>(e.counter->Value()));
+        snap.values.emplace_back(e.name, static_cast<double>(counts[i]));
         break;
+      case MetricKind::kCounterSum: {
+        uint64_t sum = 0;
+        for (std::size_t p : e.parts) sum += counts[p];
+        snap.values.emplace_back(e.name, static_cast<double>(sum));
+        break;
+      }
       case MetricKind::kGauge:
         snap.values.emplace_back(e.name, e.gauge->Value());
         break;

@@ -19,7 +19,9 @@
 //    reconcile them.
 //
 // Three primitives cover the stack's needs: monotonic Counter, last-value
-// Gauge, and a fixed-bucket log2-scale Histogram for latencies. Snapshots
+// Gauge, and a fixed-bucket log2-scale Histogram for latencies. A total
+// that partitions into per-kind counters is registered as a counter sum,
+// computed at snapshot time rather than recorded twice. Snapshots
 // flatten everything to (name, double) pairs renderable as text or JSON;
 // histogram H contributes H.count / H.p50 / H.p90 / H.p99 / H.max.
 #ifndef DHMM_OBS_METRICS_H_
@@ -227,21 +229,31 @@ class Registry {
   Gauge* GetGauge(const std::string& name);
   Histogram* GetHistogram(const std::string& name);
 
+  /// Registers `name` as the total of the counters named in `parts`
+  /// (registering those as counters on first use). A sum has nothing to
+  /// record: every snapshot computes it from the same part values that
+  /// snapshot reports, so a total and its partition can never disagree
+  /// under concurrent writers. Re-registering the same sum is a no-op.
+  void RegisterCounterSum(const std::string& name,
+                          const std::vector<std::string>& parts);
+
   /// Snapshot of every metric whose name starts with `prefix` (empty =
   /// everything). Allocates; not for hot paths.
   Snapshot TakeSnapshot(const std::string& prefix = std::string()) const;
 
  private:
-  enum class MetricKind { kCounter, kGauge, kHistogram };
+  enum class MetricKind { kCounter, kGauge, kHistogram, kCounterSum };
   struct Entry {
     std::string name;
     MetricKind kind;
     Counter* counter = nullptr;
     Gauge* gauge = nullptr;
     Histogram* histogram = nullptr;
+    std::vector<std::size_t> parts;  ///< kCounterSum: entries_ indices
   };
 
   Entry* FindLocked(const std::string& name);
+  Counter* GetCounterLocked(const std::string& name);
 
   mutable std::mutex mu_;
   std::deque<Counter> counters_;

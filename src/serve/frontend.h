@@ -131,17 +131,22 @@ class FrontEnd {
     // registry lock); the serving paths only touch the resolved pointers
     // — one relaxed atomic op each, no allocation.
     obs::Registry& obs_reg = obs::Registry::Global();
-    m_frames_accepted_ = obs_reg.GetCounter("frontend.frames_accepted");
     m_frames_malformed_ = obs_reg.GetCounter("frontend.frames_malformed");
     m_requests_shed_ = obs_reg.GetCounter("frontend.requests_shed");
     m_deadline_expired_ = obs_reg.GetCounter("frontend.deadline_expired");
     m_requests_served_ = obs_reg.GetCounter("frontend.requests_served");
     m_routing_errors_ = obs_reg.GetCounter("frontend.routing_errors");
-    m_by_kind_[0] = obs_reg.GetCounter("frontend.requests.viterbi");
-    m_by_kind_[1] = obs_reg.GetCounter("frontend.requests.posterior");
-    m_by_kind_[2] = obs_reg.GetCounter("frontend.requests.loglik");
-    m_by_kind_[3] = obs_reg.GetCounter("frontend.requests.session_push");
-    m_by_kind_[4] = obs_reg.GetCounter("frontend.requests.stats");
+    // Indexed by DecodeKind wire value. frames_accepted is their sum,
+    // computed per snapshot: one source of truth, so a kStats reply taken
+    // while frames are being accepted still partitions exactly.
+    const std::vector<std::string> by_kind = {
+        "frontend.requests.viterbi", "frontend.requests.posterior",
+        "frontend.requests.loglik", "frontend.requests.session_push",
+        "frontend.requests.stats"};
+    for (size_t i = 0; i < by_kind.size(); ++i) {
+      m_by_kind_[i] = obs_reg.GetCounter(by_kind[i]);
+    }
+    obs_reg.RegisterCounterSum("frontend.frames_accepted", by_kind);
     m_ring_occupancy_ = obs_reg.GetGauge("frontend.req_ring_occupancy");
     m_latency_us_ = obs_reg.GetHistogram("frontend.request_latency_us");
   }
@@ -502,8 +507,7 @@ class FrontEnd {
     }
     // Accepted = a well-formed frame entering the system (it may still be
     // shed, expire, or fail routing). The per-kind counters partition
-    // exactly these frames: sum over kinds == frames_accepted.
-    m_frames_accepted_->Add();
+    // exactly these frames; frames_accepted is their snapshot-time sum.
     m_by_kind_[static_cast<size_t>(h.decode_kind())]->Add();
     slot->request_id = h.request_id;
     slot->model = h.model;
@@ -853,7 +857,6 @@ class FrontEnd {
   std::thread dispatcher_;
 
   // Obs metric pointers, resolved once at construction (see metrics.h).
-  obs::Counter* m_frames_accepted_ = nullptr;
   obs::Counter* m_frames_malformed_ = nullptr;
   obs::Counter* m_requests_shed_ = nullptr;
   obs::Counter* m_deadline_expired_ = nullptr;

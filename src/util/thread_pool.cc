@@ -101,13 +101,13 @@ void ThreadPool::ParallelFor(size_t n,
   }
   start_cv_.notify_all();
   DrainItems(/*worker=*/0);
-  {
-    std::unique_lock<std::mutex> lock(mu_);
-    done_cv_.wait(lock, [&] { return busy_workers_ == 0; });
-    task_ = nullptr;
-  }
+  std::unique_lock<std::mutex> lock(mu_);
+  done_cv_.wait(lock, [&] { return busy_workers_ == 0; });
+  task_ = nullptr;
   // Wake a destructor waiting for quiescence (it needs task_ == nullptr,
-  // which only this thread publishes).
+  // which only this thread publishes). Notify while still holding mu_:
+  // once the lock drops, that destructor may see its predicate satisfied
+  // and destroy done_cv_ under a notify issued after the unlock.
   done_cv_.notify_all();
 }
 

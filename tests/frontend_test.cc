@@ -19,6 +19,7 @@
 #include <fstream>
 #include <memory>
 #include <new>
+#include <sstream>
 #include <string>
 #include <thread>
 #include <utility>
@@ -961,6 +962,82 @@ TEST(FrontEndObsTest, PerKindCountersReconcileExactlyForEveryWorkerCount) {
               static_cast<double>(total))
         << workers;
   }
+}
+
+TEST(FrontEndObsTest, StatsRepliesPartitionWhileFramesStream) {
+  // frames_accepted is the snapshot-time sum of the per-kind counters, so
+  // every kStats reply partitions exactly — also one rendered while
+  // another connection's pipelined frames are being accepted.
+  serve::ModelRegistry<double> registry;
+  ASSERT_TRUE(registry.Register(1, MakeModel(3, 191)).ok());
+  serve::FrontEnd<double> frontend(&registry);
+  ASSERT_TRUE(frontend.Start().ok());
+  const std::vector<double> obs = {0.5, 1.5, 2.5, 3.5};
+
+  const auto request = [](serve::ModelId model, serve::DecodeKind kind,
+                           const std::vector<double>* payload, uint64_t id) {
+    serve::DecodeRequest<double> req;
+    req.request_id = id;
+    req.model = model;
+    req.kind = kind;
+    req.obs = payload;
+    return req;
+  };
+  serve::WireClient stats_client;
+  ASSERT_TRUE(stats_client.Connect(frontend.port()).ok());
+  // Pipelined windows of decodes on one connection; the flag drops when
+  // the stream ends, whether or not it ended cleanly.
+  std::atomic<bool> streaming{true};
+  std::atomic<bool> stream_ok{true};
+  std::thread streamer([&] {
+    serve::WireClient client;
+    bool ok = client.Connect(frontend.port()).ok();
+    constexpr int kWindow = 16;
+    uint64_t id = 0;
+    serve::DecodeResponse resp;
+    for (int round = 0; ok && round < 40; ++round) {
+      for (int i = 0; ok && i < kWindow; ++i) {
+        const serve::DecodeKind kind = i % 3 == 0
+                                           ? serve::DecodeKind::kPosterior
+                                           : serve::DecodeKind::kViterbi;
+        ok = client.Send(request(1, kind, &obs, ++id)).ok();
+      }
+      for (int i = 0; ok && i < kWindow; ++i) {
+        ok = client.Receive(&resp).ok() && resp.status.ok();
+      }
+    }
+    stream_ok.store(ok);
+    streaming.store(false, std::memory_order_release);
+  });
+
+  const std::vector<double> empty;
+  serve::DecodeResponse resp;
+  int replies = 0;
+  uint64_t id = 1u << 20;
+  do {
+    // EXPECT-and-break, never ASSERT: the streamer must still be joined.
+    const Status call = stats_client.Call(
+        request(0, serve::DecodeKind::kStats, &empty, ++id), &resp);
+    EXPECT_TRUE(call.ok() && resp.status.ok()) << call.ToString();
+    if (!call.ok() || !resp.status.ok()) break;
+    double accepted = -1.0, by_kind = 0.0;
+    std::istringstream lines(resp.text);
+    std::string line;
+    while (std::getline(lines, line)) {
+      const size_t sp = line.find(' ');
+      const std::string name = line.substr(0, sp);
+      if (name == "frontend.frames_accepted") {
+        accepted = std::stod(line.substr(sp + 1));
+      } else if (name.rfind("frontend.requests.", 0) == 0) {
+        by_kind += std::stod(line.substr(sp + 1));
+      }
+    }
+    EXPECT_EQ(accepted, by_kind) << "stats reply " << replies;
+    ++replies;
+  } while (streaming.load(std::memory_order_acquire) || replies < 10);
+  streamer.join();
+  EXPECT_TRUE(stream_ok.load());
+  EXPECT_GE(replies, 10);
 }
 
 // ------------------------------------------- WireClient connect deadline ---

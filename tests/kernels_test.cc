@@ -14,13 +14,19 @@
 //    binary under the override), a cross-variant parity grid of every
 //    KernelTable member against the scalar oracle at <= 1e-12, bitwise
 //    self-reproducibility of every variant across repeated calls and
-//    thread counts, and engine-level scalar-vs-vector agreement.
+//    thread counts, and engine-level scalar-vs-vector agreement,
+//  - the row-form viterbi_step: every variant bitwise equal to the scalar
+//    oracle (and the oracle to the column-form scan it replaced) on ties,
+//    -inf and NaN inputs, and whole-sequence TryViterbi bitwise across
+//    ISAs.
+#include <algorithm>
 #include <atomic>
 #include <cmath>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <limits>
 #include <new>
 #include <string>
 #include <thread>
@@ -179,11 +185,20 @@ TEST(KernelsTest, ExpShiftRowLeavesAUnitEntry) {
 TEST(KernelsTest, ArgMaxBreaksTiesToLowestIndex) {
   const double row[] = {1.0, 3.0, 3.0, 0.5};
   EXPECT_EQ(klib::ArgMaxRow(row, 4), 1u);
-  const double x[] = {1.0, 2.0, 0.0};
-  const double y[] = {2.0, 1.0, 3.0};  // sums: 3, 3, 3 — all tie
-  double best = 0.0;
-  EXPECT_EQ(klib::ArgMaxSumRow(x, y, 3, &best), 0u);
-  EXPECT_DOUBLE_EQ(best, 3.0);
+  // One Viterbi step where every predecessor ties for state 0:
+  // prev[i] + log_a(i, 0) = 3 for all i, so psi[0] must stay 0.
+  const double prev[] = {1.0, 2.0, 0.0};
+  const double log_a[] = {2.0, 0.0, 0.0,   //
+                          1.0, 0.0, 0.0,   //
+                          3.0, 0.0, 0.0};  // column 0 sums: 3, 3, 3
+  const double log_b[] = {0.5, 0.0, 0.0};
+  double delta[3] = {};
+  int psi[3] = {-1, -1, -1};
+  klib::ViterbiStep(prev, log_a, log_b, 3, delta, psi);
+  EXPECT_EQ(psi[0], 0);
+  EXPECT_DOUBLE_EQ(delta[0], 3.5);
+  EXPECT_EQ(psi[1], 1);  // column 1: 1, 2, 0 — strict winner
+  EXPECT_DOUBLE_EQ(delta[1], 2.0);
 }
 
 TEST(AlignedStorageTest, BuffersStartOnCacheLines) {
@@ -349,9 +364,11 @@ TEST(TransitionCacheTest, RebuildsExactlyWhenAChanges) {
   for (size_t i = 0; i < k; ++i) {
     for (size_t j = 0; j < k; ++j) EXPECT_EQ(at2(j, i), a(i, j));
   }
-  // Log view follows the same staleness key.
-  const linalg::Matrix& lat = cache.LogTranspose(a);
-  EXPECT_DOUBLE_EQ(lat(2, 1), std::log(a(1, 2)));
+  // The row-major log view follows the same staleness key.
+  const linalg::Matrix& log_a = cache.Log(a);
+  for (size_t i = 0; i < k; ++i) {
+    for (size_t j = 0; j < k; ++j) EXPECT_EQ(log_a(i, j), std::log(a(i, j)));
+  }
   EXPECT_EQ(cache.version(), v1 + 1);
 }
 
@@ -393,7 +410,7 @@ TEST(InferenceAllocationTest, SteadyStateInferenceAllocatesNothing) {
   hmm::ForwardBackwardResult fb;
   hmm::ViterbiResult vit;
   // Warm-up sizes every buffer, including the cached transpose and the
-  // Viterbi log-transpose and backpointer table.
+  // Viterbi log(A) view and backpointer table.
   hmm::ForwardBackward(c.pi, c.a, c.log_b, &ws, &fb);
   hmm::LogLikelihood(c.pi, c.a, c.log_b, &ws);
   hmm::Viterbi(c.pi, c.a, c.log_b, &ws, &vit);
@@ -607,6 +624,167 @@ TEST(DispatchTest, EngineAgreesAcrossIsasEndToEnd) {
       }
     }
   }
+}
+
+// --------------------------------------------------- row-form Viterbi ---
+
+// The column-form scan TryViterbi ran before the row-form kernel: for each
+// j, argmax over i of prev[i] + log_a(i, j) with the first candidate as the
+// seed and strict > afterwards. Kept here to pin the oracle to it bitwise.
+void ColumnFormViterbiStep(const double* prev, const double* log_a,
+                           const double* log_b, size_t k, double* delta,
+                           int* psi) {
+  for (size_t j = 0; j < k; ++j) {
+    double best = prev[0] + log_a[j];
+    int arg = 0;
+    for (size_t i = 1; i < k; ++i) {
+      const double v = prev[i] + log_a[i * k + j];
+      if (v > best) {
+        best = v;
+        arg = static_cast<int>(i);
+      }
+    }
+    delta[j] = best + log_b[j];
+    psi[j] = arg;
+  }
+}
+
+struct ViterbiStepCase {
+  const char* name;
+  std::vector<double> prev, log_a, log_b;
+};
+
+// Random plus adversarial frames: small-integer values (many partial
+// ties), every candidate tied, -inf rows and columns of log A, -inf and
+// NaN predecessors, NaN transitions (including the first candidate).
+std::vector<ViterbiStepCase> ViterbiStepCases(size_t k, uint64_t seed) {
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  prob::Rng rng(seed);
+  std::vector<ViterbiStepCase> cases;
+  auto random = [&](const char* name) {
+    ViterbiStepCase c{name, RandomRow(k, rng.NextU64(), -40.0, 0.0),
+                      RandomRow(k * k, rng.NextU64(), -8.0, 0.0),
+                      RandomRow(k, rng.NextU64(), -6.0, 0.0)};
+    return c;
+  };
+  cases.push_back(random("random"));
+  ViterbiStepCase ints = random("small-int ties");
+  for (double& v : ints.prev) v = std::floor(v / 20.0);
+  for (double& v : ints.log_a) v = std::floor(v / 4.0);
+  cases.push_back(ints);
+  ViterbiStepCase tie = random("all tie");
+  tie.prev.assign(k, -1.5);
+  tie.log_a.assign(k * k, -0.25);
+  cases.push_back(tie);
+  ViterbiStepCase zeros = random("-inf row and column");
+  for (size_t j = 0; j < k; ++j) zeros.log_a[(k / 2) * k + j] = prob::kNegInf;
+  for (size_t i = 0; i < k; ++i) zeros.log_a[i * k + (k - 1)] = prob::kNegInf;
+  zeros.log_a[0] = prob::kNegInf;
+  cases.push_back(zeros);
+  ViterbiStepCase dead = random("-inf prev");
+  dead.prev[0] = prob::kNegInf;
+  dead.prev[k - 1] = prob::kNegInf;
+  cases.push_back(dead);
+  ViterbiStepCase all_dead = random("all -inf prev");
+  all_dead.prev.assign(k, prob::kNegInf);
+  cases.push_back(all_dead);
+  ViterbiStepCase nan_prev = random("NaN prev");
+  nan_prev.prev[k / 2] = nan;
+  cases.push_back(nan_prev);
+  ViterbiStepCase nan_first = random("NaN first prev");
+  nan_first.prev[0] = nan;
+  cases.push_back(nan_first);
+  ViterbiStepCase nan_a = random("NaN log A");
+  nan_a.log_a[0] = nan;  // first candidate of column 0
+  for (size_t i = 0; i < k; ++i) nan_a.log_a[i * k + (i * 7) % k] = nan;
+  cases.push_back(nan_a);
+  return cases;
+}
+
+TEST(DispatchTest, ViterbiStepBitwiseEqualToOracleOnEveryIsa) {
+  constexpr size_t kGuard = 9;  // sentinels past k catch stray tail stores
+  for (size_t k : {size_t{1}, size_t{2}, size_t{3}, size_t{4}, size_t{5},
+                   size_t{6}, size_t{7}, size_t{8}, size_t{9}, size_t{12},
+                   size_t{15}, size_t{16}, size_t{17}, size_t{20},
+                   size_t{50}}) {
+    for (const ViterbiStepCase& c : ViterbiStepCases(k, 7000 + k)) {
+      std::vector<double> ref_delta(k), col_delta(k);
+      std::vector<int> ref_psi(k), col_psi(k);
+      klib::ViterbiStep(c.prev.data(), c.log_a.data(), c.log_b.data(), k,
+                        ref_delta.data(), ref_psi.data());
+      ColumnFormViterbiStep(c.prev.data(), c.log_a.data(), c.log_b.data(), k,
+                            col_delta.data(), col_psi.data());
+      ASSERT_EQ(0, std::memcmp(ref_delta.data(), col_delta.data(),
+                               k * sizeof(double)))
+          << "oracle vs column form, k=" << k << " " << c.name;
+      ASSERT_EQ(ref_psi, col_psi) << "k=" << k << " " << c.name;
+      for (klib::Isa isa : klib::CompiledIsas()) {
+        if (!klib::IsaAvailable(isa)) continue;
+        for (const klib::KernelTable* kt :
+             {&klib::TableFor(isa, k), &klib::TableFor(isa)}) {
+          std::vector<double> delta(k + kGuard, 123.0);
+          std::vector<int> psi(k + kGuard, -7);
+          kt->viterbi_step(c.prev.data(), c.log_a.data(), c.log_b.data(), k,
+                           delta.data(), psi.data());
+          EXPECT_EQ(0, std::memcmp(delta.data(), ref_delta.data(),
+                                   k * sizeof(double)))
+              << kt->name << " delta, k=" << k << " " << c.name;
+          EXPECT_TRUE(std::equal(ref_psi.begin(), ref_psi.end(), psi.begin()))
+              << kt->name << " psi, k=" << k << " " << c.name;
+          for (size_t g = k; g < k + kGuard; ++g) {
+            EXPECT_EQ(delta[g], 123.0) << kt->name << " k=" << k;
+            EXPECT_EQ(psi[g], -7) << kt->name << " k=" << k;
+          }
+        }
+      }
+    }
+  }
+}
+
+TEST(DispatchTest, TryViterbiBitwiseEqualAcrossIsas) {
+  const klib::Isa active = klib::ActiveIsa();
+  for (size_t k : {size_t{1}, size_t{3}, size_t{5}, size_t{8}, size_t{13},
+                   size_t{20}, size_t{50}}) {
+    const size_t big_t = 48;
+    Chain random = MakeChain(k, big_t, 515000 + k);
+    if (k > 2) random.a(0, k - 1) = 0.0;  // a -inf lane through the run
+    // Uniform pi and A with emissions on a 0.5 grid: equal predecessor
+    // scores are common, so psi pins the lowest-index tie-break at every
+    // frame, backtrack included.
+    Chain tied = random;
+    for (size_t i = 0; i < k; ++i) tied.pi[i] = 1.0 / static_cast<double>(k);
+    tied.a.Fill(1.0 / static_cast<double>(k));
+    for (size_t t = 0; t < big_t; ++t) {
+      for (size_t i = 0; i < k; ++i) {
+        tied.log_b(t, i) = std::round(tied.log_b(t, i) / 3.0) * 0.5;
+      }
+    }
+    for (const Chain* c : {&random, &tied}) {
+      ASSERT_TRUE(klib::internal::ForceIsaForTestOnly(klib::Isa::kScalar));
+      hmm::InferenceWorkspace ref_ws;
+      hmm::ViterbiResult ref;
+      EXPECT_TRUE(hmm::TryViterbi(c->pi, c->a, c->log_b, &ref_ws, &ref).ok());
+      for (klib::Isa isa : klib::CompiledIsas()) {
+        if (!klib::IsaAvailable(isa)) continue;
+        ASSERT_TRUE(klib::internal::ForceIsaForTestOnly(isa));
+        hmm::InferenceWorkspace ws;
+        hmm::ViterbiResult got;
+        EXPECT_TRUE(hmm::TryViterbi(c->pi, c->a, c->log_b, &ws, &got).ok());
+        const std::string where = std::string(klib::IsaName(isa)) +
+                                  " k=" + std::to_string(k) +
+                                  (c == &tied ? " tied" : " random");
+        EXPECT_EQ(got.path, ref.path) << where;
+        EXPECT_EQ(0, std::memcmp(&got.log_joint, &ref.log_joint,
+                                 sizeof(double)))
+            << where;
+        EXPECT_EQ(0, std::memcmp(ws.delta.data(), ref_ws.delta.data(),
+                                 big_t * k * sizeof(double)))
+            << where;
+        EXPECT_EQ(ws.psi, ref_ws.psi) << where;
+      }
+    }
+  }
+  ASSERT_TRUE(klib::internal::ForceIsaForTestOnly(active));
 }
 
 }  // namespace

@@ -10,6 +10,8 @@
 //    the same object, registration threads race safely,
 //  - snapshots flatten to sorted (name, value) pairs, honor prefixes, and
 //    expand histograms to .count/.p50/.p90/.p99/.max,
+//  - a registered counter sum equals its parts in every snapshot, even
+//    under concurrent writers,
 //  - RenderText/RenderJson emit the pinned formats (CI greps the text
 //    form; the JSON form must always parse, non-finite values included),
 //  - the unified startup line has the pinned "[dhmm] startup: kernels "
@@ -242,6 +244,41 @@ TEST(RegistryTest, SnapshotHonorsPrefixAndExpandsHistograms) {
     EXPECT_LT(snap.values[i - 1].first, snap.values[i].first);
   }
   EXPECT_EQ(snap.ValueOf("obs_test.snap.absent", -1.0), -1.0);
+}
+
+TEST(RegistryTest, CounterSumEqualsItsPartsInEverySnapshot) {
+  obs::Registry& reg = obs::Registry::Global();
+  const std::vector<std::string> parts = {"obs_test.sum.a", "obs_test.sum.b",
+                                          "obs_test.sum_outside.c"};
+  reg.RegisterCounterSum("obs_test.sum.total", parts);
+  reg.RegisterCounterSum("obs_test.sum.total", parts);  // idempotent
+  obs::Counter* a = reg.GetCounter("obs_test.sum.a");
+  obs::Counter* b = reg.GetCounter("obs_test.sum.b");
+  obs::Counter* c = reg.GetCounter("obs_test.sum_outside.c");
+  c->Add(4);
+  // A part outside the snapshot prefix still counts toward the total.
+  const obs::Snapshot quiet = reg.TakeSnapshot("obs_test.sum.");
+  EXPECT_EQ(quiet.ValueOf("obs_test.sum.total", -1.0), 4.0);
+  EXPECT_FALSE(quiet.Has("obs_test.sum_outside.c"));
+
+  // Under concurrent writers every snapshot reconciles exactly: the sum is
+  // computed from the same part reads the snapshot reports.
+  std::atomic<bool> stop{false};
+  std::vector<std::thread> writers;
+  for (obs::Counter* part : {a, b, a}) {
+    writers.emplace_back([part, &stop] {
+      while (!stop.load(std::memory_order_relaxed)) part->Add();
+    });
+  }
+  for (int i = 0; i < 200; ++i) {
+    const obs::Snapshot snap = reg.TakeSnapshot("obs_test.sum");
+    ASSERT_EQ(snap.ValueOf("obs_test.sum.total"),
+              snap.ValueOf("obs_test.sum.a") + snap.ValueOf("obs_test.sum.b") +
+                  snap.ValueOf("obs_test.sum_outside.c"))
+        << "snapshot " << i;
+  }
+  stop.store(true, std::memory_order_relaxed);
+  for (auto& t : writers) t.join();
 }
 
 // -------------------------------------------------------------- rendering ---

@@ -230,10 +230,13 @@ TEST(ThreadPoolTest, DestructionWaitsForInFlightParallelFor) {
   // telling the workers to exit.
   constexpr size_t kItems = 64;
   auto pool = std::make_unique<util::ThreadPool>(4);
+  // The runner holds the raw pointer: reading the unique_ptr itself while
+  // pool.reset() rewrites it would be a data race in the test.
+  util::ThreadPool* raw = pool.get();
   std::atomic<size_t> executed{0};
   std::atomic<bool> started{false};
-  std::thread runner([&] {
-    pool->ParallelFor(kItems, [&](int, size_t) {
+  std::thread runner([&, raw] {
+    raw->ParallelFor(kItems, [&](int, size_t) {
       started.store(true, std::memory_order_relaxed);
       std::this_thread::sleep_for(std::chrono::milliseconds(1));
       executed.fetch_add(1, std::memory_order_relaxed);
