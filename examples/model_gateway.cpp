@@ -16,6 +16,7 @@
 #include "hmm/sampler.h"
 #include "hmm/sequence.h"
 #include "hmm/serialization.h"
+#include "obs/metrics.h"
 #include "prob/gaussian_emission.h"
 #include "prob/rng.h"
 #include "serve/frontend.h"
@@ -172,11 +173,14 @@ int main(int argc, char** argv) {
     }
   }
 
-  std::printf("served=%llu shed=%llu deadline_expired=%llu "
-              "routing_errors=%llu\n",
-              static_cast<unsigned long long>(frontend.requests_served()),
-              static_cast<unsigned long long>(frontend.requests_shed()),
-              static_cast<unsigned long long>(frontend.deadline_expired()),
-              static_cast<unsigned long long>(frontend.routing_errors()));
+  // The gateway runs one front end, so the process-wide counters are its.
+  const obs::Snapshot counts =
+      obs::Registry::Global().TakeSnapshot("frontend.");
+  std::printf("served=%.0f shed=%.0f deadline_expired=%.0f "
+              "routing_errors=%.0f\n",
+              counts.ValueOf("frontend.requests_served"),
+              counts.ValueOf("frontend.requests_shed"),
+              counts.ValueOf("frontend.deadline_expired"),
+              counts.ValueOf("frontend.routing_errors"));
   return 0;
 }

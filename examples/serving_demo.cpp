@@ -1,7 +1,7 @@
 // The serve layer end to end: train a model, stand up a DecodeService,
 // submit a burst of mixed decode requests, hot-swap to a better checkpoint
 // via the atomic save + reload path while the service keeps running, and
-// label a live stream with the fixed-lag StreamingDecoder.
+// label a live stream through a one-session fixed-lag SessionManager.
 //
 // Flags: --requests=<int> (default 64)  --threads=<int> (default 2)
 //        --lag=<int> (default 4)  --path=<file> (checkpoint path)
@@ -14,8 +14,9 @@
 #include "hmm/sampler.h"
 #include "hmm/serialization.h"
 #include "hmm/trainer.h"
+#include "obs/metrics.h"
 #include "serve/decode_service.h"
-#include "serve/streaming_decoder.h"
+#include "serve/session_manager.h"
 #include "util/flags.h"
 
 int main(int argc, char** argv) {
@@ -73,7 +74,7 @@ int main(int argc, char** argv) {
   prob::Rng req_rng(3);
   hmm::Dataset<double> requests =
       hmm::SampleDataset(trained, num_requests, 16, req_rng);
-  serve::ServeOptions sopts;
+  serve::DecodeServiceOptions sopts;
   sopts.num_threads = threads;
   sopts.max_batch = 16;
   serve::DecodeService<double> service(v1, sopts);
@@ -96,11 +97,15 @@ int main(int argc, char** argv) {
   }
   futures.clear();
   const double avg_v1 = total_ll / static_cast<double>(ll_count);
+  // The demo runs one service, so the process-wide decode counters are its.
+  obs::Registry& metrics = obs::Registry::Global();
   std::printf("v%llu served %llu requests in %llu batches "
               "(largest %zu), mean loglik %.3f\n",
               static_cast<unsigned long long>(service.model_version()),
-              static_cast<unsigned long long>(service.requests_served()),
-              static_cast<unsigned long long>(service.batches_dispatched()),
+              static_cast<unsigned long long>(
+                  metrics.GetCounter("decode.requests")->Value()),
+              static_cast<unsigned long long>(
+                  metrics.GetCounter("decode.batches")->Value()),
               service.largest_batch(), avg_v1);
 
   // 3. Hot-swap to checkpoint v2 from disk; the service never stops.
@@ -123,20 +128,30 @@ int main(int argc, char** argv) {
               path.c_str(), avg_v2, avg_v2 > avg_v1 ? "yes" : "no");
 
   // 4. Online labeling: fixed-lag smoothing over a live stream.
-  serve::StreamingOptions stream_opts;
+  serve::SessionManagerOptions stream_opts;
   stream_opts.lag = lag;
-  serve::StreamingDecoder<double> stream(service.ModelSnapshot(),
-                                         stream_opts);
+  serve::SessionManager<double> streams(service.ModelSnapshot(), stream_opts);
+  const serve::SessionHandle stream = streams.CreateSession().value();
   const std::vector<double>& live = requests[0].obs;
   std::printf("streaming %zu frames at lag %zu:", live.size(), lag);
   std::vector<int> labels;
   for (double y : live) {
-    if (stream.Push(y)) labels.push_back(stream.last_label());
+    int label;
+    st = streams.Push(stream, y, &label);
+    if (!st.ok()) {
+      std::fprintf(stderr, "push failed: %s\n", st.ToString().c_str());
+      return 1;
+    }
+    if (label >= 0) labels.push_back(label);
   }
-  stream.Finish(&labels);
+  const double stream_ll = streams.LogLikelihood(stream).value_or(0.0);
+  st = streams.Finish(stream, &labels);
+  if (!st.ok()) {
+    std::fprintf(stderr, "finish failed: %s\n", st.ToString().c_str());
+    return 1;
+  }
   for (int label : labels) std::printf(" %d", label);
   std::printf("\n  prefix loglik %.3f over %zu frames, %zu labels\n",
-              stream.log_likelihood(), stream.frames_pushed(),
-              stream.labels_emitted());
+              stream_ll, live.size(), labels.size());
   return 0;
 }

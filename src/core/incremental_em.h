@@ -46,6 +46,14 @@ namespace dhmm::core {
 
 /// Options for the incremental trainer. Validate()-checked POD, like the
 /// serve options structs.
+///
+/// The emission update keeps the emission family's own smoothing. With a
+/// prob::CategoricalEmission of pseudo-count 0, Step() gives every word
+/// absent from the step's frames probability 0 in every state; once that
+/// snapshot is hot-swapped in, a SessionManager push of such a word fails
+/// with InvalidArgument and poisons that session (other sessions keep
+/// serving). Give streamed categorical models a positive pseudo-count when
+/// the vocabulary can outgrow a step's frames.
 struct IncrementalEmOptions {
   /// Diversity weight (paper's alpha). 0 selects the exact Baum-Welch
   /// maximum-likelihood transition update of hmm::FitEm; > 0 runs the

@@ -94,9 +94,6 @@ struct DecodeServiceOptions {
   static constexpr int kMaxThreads = 4096;
 };
 
-/// Pre-unification spelling, kept as an alias for existing callers.
-using ServeOptions = DecodeServiceOptions;
-
 template <typename Obs>
 class DecodeService;
 
@@ -327,13 +324,10 @@ class DecodeService {
     return obs::RenderText(obs::Registry::Global().TakeSnapshot("decode."));
   }
 
-  // Counters (dispatcher-written, safe to read from any thread).
-  uint64_t requests_served() const {
-    return requests_served_.load(std::memory_order_relaxed);
-  }
-  uint64_t batches_dispatched() const {
-    return batches_dispatched_.load(std::memory_order_relaxed);
-  }
+  /// Largest batch dispatched so far (dispatcher-written, safe to read
+  /// from any thread). Exact, unlike the log2-bucketed decode.batch_size
+  /// histogram; request and batch counts live in the registry
+  /// (decode.requests, decode.batches).
   size_t largest_batch() const {
     return largest_batch_.load(std::memory_order_relaxed);
   }
@@ -394,10 +388,8 @@ class DecodeService {
       // The dispatcher participates as worker 0, so num_threads == 1 runs
       // the whole batch inline with no cross-thread traffic.
       pool_.ParallelFor(batch_.size(), batch_fn_);
-      // Counters first: a Wait() that returns must already see this batch
-      // counted (done is published after, under each slot's mutex).
-      requests_served_.fetch_add(batch_.size(), std::memory_order_relaxed);
-      batches_dispatched_.fetch_add(1, std::memory_order_relaxed);
+      // Before done is published (under each slot's mutex): a Wait() that
+      // returns must already see this batch in largest_batch().
       if (batch_.size() > largest_batch_.load(std::memory_order_relaxed)) {
         largest_batch_.store(batch_.size(), std::memory_order_relaxed);
       }
@@ -513,8 +505,6 @@ class DecodeService {
   uint64_t batch_version_ = 0;
 
   std::thread dispatcher_;
-  std::atomic<uint64_t> requests_served_{0};
-  std::atomic<uint64_t> batches_dispatched_{0};
   std::atomic<size_t> largest_batch_{0};
 
   // Process-wide metrics (obs/metrics.h): registered once at construction,

@@ -119,7 +119,8 @@ struct FrontEndOptions {
 ///
 /// The registry is borrowed and must outlive the front-end. Start() binds
 /// and spins up the IO and dispatcher threads; Stop() (or the destructor)
-/// shuts them down. Counters are readable from any thread.
+/// shuts them down. Every event is counted once, in the process-wide
+/// obs::Registry under the "frontend." prefix (StatsString(), kStats).
 template <typename Obs>
 class FrontEnd {
  public:
@@ -136,6 +137,9 @@ class FrontEnd {
     m_deadline_expired_ = obs_reg.GetCounter("frontend.deadline_expired");
     m_requests_served_ = obs_reg.GetCounter("frontend.requests_served");
     m_routing_errors_ = obs_reg.GetCounter("frontend.routing_errors");
+    m_protocol_errors_ = obs_reg.GetCounter("frontend.protocol_errors");
+    m_conns_accepted_ = obs_reg.GetCounter("frontend.connections_accepted");
+    m_conns_rejected_ = obs_reg.GetCounter("frontend.connections_rejected");
     // Indexed by DecodeKind wire value. frames_accepted is their sum,
     // computed per snapshot: one source of truth, so a kStats reply taken
     // while frames are being accepted still partitions exactly.
@@ -263,17 +267,6 @@ class FrontEnd {
         obs::Registry::Global().TakeSnapshot("frontend."));
   }
 
-  // Counters. Per-instance (tests assert absolute values on a fresh
-  // front end); the obs registry accumulates the same events
-  // process-wide under the "frontend." prefix.
-  uint64_t requests_served() const { return Load(requests_served_); }
-  uint64_t requests_shed() const { return Load(requests_shed_); }
-  uint64_t deadline_expired() const { return Load(deadline_expired_); }
-  uint64_t routing_errors() const { return Load(routing_errors_); }
-  uint64_t protocol_errors() const { return Load(protocol_errors_); }
-  uint64_t connections_accepted() const { return Load(connections_accepted_); }
-  uint64_t connections_rejected() const { return Load(connections_rejected_); }
-
  private:
   using Clock = std::chrono::steady_clock;
 
@@ -305,13 +298,6 @@ class FrontEnd {
     std::vector<uint8_t> wbuf;
     size_t woff = 0;  // first unsent byte in wbuf
   };
-
-  static uint64_t Load(const std::atomic<uint64_t>& a) {
-    return a.load(std::memory_order_relaxed);
-  }
-  static void Bump(std::atomic<uint64_t>& a) {
-    a.fetch_add(1, std::memory_order_relaxed);
-  }
 
   static Status Errno(const char* what) {
     return Status::Internal(std::string(what) + ": " +
@@ -389,7 +375,7 @@ class FrontEnd {
       for (const Conn& c : conns_) live += c.open;
       if (live >= options_.max_connections) {
         ::close(fd);
-        Bump(connections_rejected_);
+        m_conns_rejected_->Add();
         continue;
       }
       SetNonBlocking(fd);
@@ -410,7 +396,7 @@ class FrontEnd {
       c.rlen = 0;
       c.wbuf.clear();
       c.woff = 0;
-      Bump(connections_accepted_);
+      m_conns_accepted_->Add();
     }
   }
 
@@ -457,12 +443,12 @@ class FrontEnd {
       if (!hs.ok()) {
         // Bad magic / version / absurd length: the stream has no
         // trustworthy framing left, so there is nothing to respond to.
-        Bump(protocol_errors_);
+        m_protocol_errors_->Add();
         CloseConn(idx);
         break;
       }
       if (h.payload_len > options_.max_payload_bytes) {
-        Bump(protocol_errors_);
+        m_protocol_errors_->Add();
         SynthesizeError(
             c, h,
             Status::OutOfRange("request payload exceeds the front-end "
@@ -498,7 +484,7 @@ class FrontEnd {
     if (!ps.ok()) {
       // Framing is intact (the header parsed and the length matched), so
       // the connection survives a bad payload: respond and move on.
-      Bump(protocol_errors_);
+      m_protocol_errors_->Add();
       m_frames_malformed_->Add();
       SynthesizeError(c, h, ps);
       FlushConn(idx);
@@ -517,7 +503,6 @@ class FrontEnd {
     slot->conn_index = idx;
     slot->conn_generation = c.generation;
     if (!req_ring_->TryPush(slot)) {
-      Bump(requests_shed_);
       m_requests_shed_->Add();
       SynthesizeError(c, h,
                       Status::Unavailable("request queue full — shed"));
@@ -658,7 +643,6 @@ class FrontEnd {
       if (slot->deadline_micros != 0 &&
           now - slot->arrival >=
               std::chrono::microseconds(slot->deadline_micros)) {
-        Bump(deadline_expired_);
         m_deadline_expired_->Add();
         r.status = Status::DeadlineExceeded(
             "deadline expired before dispatch");
@@ -672,7 +656,6 @@ class FrontEnd {
         // rendered text) — an operator surface, not a steady-state path.
         r.text = obs::RenderText(obs::Registry::Global().TakeSnapshot());
         r.status = Status::OK();
-        Bump(requests_served_);
         m_requests_served_->Add();
         futures_.emplace_back();
         services_.emplace_back();
@@ -690,7 +673,6 @@ class FrontEnd {
       Result<std::shared_ptr<DecodeService<Obs>>> svc =
           registry_->Acquire(slot->model);
       if (!svc.ok()) {
-        Bump(routing_errors_);
         m_routing_errors_->Add();
         r.status = svc.status();
         futures_.emplace_back();
@@ -715,7 +697,6 @@ class FrontEnd {
         slot->resp.model_version = result.model_version;
         slot->resp.path.assign(result.path.begin(), result.path.end());
         futures_[i].Release();
-        Bump(requests_served_);
         m_requests_served_->Add();
       }
       // Responses must never be dropped: spin until the return ring has
@@ -742,14 +723,12 @@ class FrontEnd {
   void HandleSessionPush(ReqSlot* slot) {
     DecodeResponse& r = slot->resp;
     if (sessions_ == nullptr) {
-      Bump(routing_errors_);
       m_routing_errors_->Add();
       r.status = Status::FailedPrecondition(
           "sessions are not enabled on this front-end");
       return;
     }
     if (slot->model != session_model_) {
-      Bump(routing_errors_);
       m_routing_errors_->Add();
       r.status = Status::NotFound("session pushes serve model id " +
                                   std::to_string(session_model_) + " only");
@@ -799,7 +778,6 @@ class FrontEnd {
     if (!st.ok()) {
       if (h != kInvalidSessionHandle) (void)sessions_->DestroySession(h);
       wire_sessions_.erase(it);
-      Bump(routing_errors_);
       m_routing_errors_->Add();
       r.status = std::move(st);
       r.path.clear();
@@ -811,7 +789,6 @@ class FrontEnd {
     }
     r.model_version = sessions_->model_version();
     r.status = Status::OK();
-    Bump(requests_served_);
     m_requests_served_->Add();
   }
 
@@ -862,17 +839,12 @@ class FrontEnd {
   obs::Counter* m_deadline_expired_ = nullptr;
   obs::Counter* m_requests_served_ = nullptr;
   obs::Counter* m_routing_errors_ = nullptr;
+  obs::Counter* m_protocol_errors_ = nullptr;
+  obs::Counter* m_conns_accepted_ = nullptr;
+  obs::Counter* m_conns_rejected_ = nullptr;
   obs::Counter* m_by_kind_[5] = {};  // indexed by DecodeKind wire value
   obs::Gauge* m_ring_occupancy_ = nullptr;
   obs::Histogram* m_latency_us_ = nullptr;
-
-  std::atomic<uint64_t> requests_served_{0};
-  std::atomic<uint64_t> requests_shed_{0};
-  std::atomic<uint64_t> deadline_expired_{0};
-  std::atomic<uint64_t> routing_errors_{0};
-  std::atomic<uint64_t> protocol_errors_{0};
-  std::atomic<uint64_t> connections_accepted_{0};
-  std::atomic<uint64_t> connections_rejected_{0};
 };
 
 }  // namespace dhmm::serve

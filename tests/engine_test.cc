@@ -13,6 +13,7 @@
 #include <gtest/gtest.h>
 
 #include "core/dhmm_trainer.h"
+#include "core/transition_update.h"
 #include "data/toy.h"
 #include "hmm/engine.h"
 #include "hmm/inference.h"
@@ -439,6 +440,63 @@ TEST(CheckpointedFbTest, FitDiversifiedBitwiseInvariantToCheckpointing) {
         << i;
   }
   EXPECT_EQ(r_cp.final_map_objective, r_full.final_map_objective);
+}
+
+// ------------------------------------- E-step loglik == loglik pass ---
+
+// The equality that makes FitDiversifiedHmm's LogLikelihood pass at the end
+// of each inner FitEm call redundant: the E-step's log-likelihood is the
+// forward-pass log-likelihood of the same parameters, bitwise, along ML and
+// DPP-diversified EM trajectories, for every thread count, on the full and
+// the checkpointed paths (threshold 5 checkpoints the length-6 and -20
+// sequences and leaves the length-3 ones on the full path).
+TEST(EStepLoglikTest, EqualsLogLikelihoodPassBitwiseAlongEmTrajectories) {
+  prob::Rng data_rng(4321);
+  Dataset<double> data = data::GenerateToyDataset(0.4, 12, 6, data_rng);
+  for (const size_t len : {3, 20}) {
+    const Dataset<double> more =
+        data::GenerateToyDataset(0.4, 4, len, data_rng);
+    data.insert(data.end(), more.begin(), more.end());
+  }
+  prob::Rng init_rng(81);
+  const HmmModel<double> init = data::ToyRandomInit(init_rng);
+
+  for (const double alpha : {0.0, 0.5}) {
+    core::TransitionUpdateOptions uo;
+    uo.alpha = alpha;
+    core::TransitionUpdateWorkspace mws;
+    core::TransitionUpdateResult mres;
+    EmOptions one_iter;
+    one_iter.max_iters = 1;
+    if (alpha > 0.0) {
+      one_iter.transition_m_step = [&](const linalg::Matrix& counts,
+                                       linalg::Matrix* a) {
+        core::UpdateTransitions(*a, counts, uo, &mws, &mres);
+        std::swap(*a, mres.a);
+      };
+    }
+    for (const int threads : {1, 4}) {
+      for (const size_t threshold : {size_t{0}, size_t{5}}) {
+        BatchEmEngine<double> engine(BatchOptions{threads, threshold});
+        HmmModel<double> model = init;
+        double prev_final = 0.0;
+        for (int iter = 0; iter < 4; ++iter) {
+          const double estep = engine.EStep(model, data).log_likelihood;
+          EXPECT_EQ(estep, engine.LogLikelihood(model, data))
+              << "alpha=" << alpha << " threads=" << threads
+              << " threshold=" << threshold << " iter=" << iter;
+          const EmResult r = FitEm(&model, data, one_iter, &engine);
+          ASSERT_EQ(r.loglik_history.size(), 1u);
+          EXPECT_EQ(r.loglik_history[0], estep);
+          // The previous call's closing pass saw these same parameters.
+          if (iter > 0) {
+            EXPECT_EQ(estep, prev_final) << "iter=" << iter;
+          }
+          prev_final = r.final_loglik;
+        }
+      }
+    }
+  }
 }
 
 // The memory contract the whole tentpole exists for: an E-step over one

@@ -40,7 +40,6 @@
 #include "serve/frontend.h"
 #include "serve/model_registry.h"
 #include "serve/session_manager.h"
-#include "serve/streaming_decoder.h"
 #include "serve/wire_client.h"
 
 // ----------------------------------------------------- allocation counter ---
@@ -261,6 +260,14 @@ class FrontEndTest : public ::testing::Test {
     ASSERT_TRUE(frontend_->Start().ok());
   }
 
+  // Counters are process-wide and this suite runs its cases one at a
+  // time, so a counter's growth since the case began is this front end's
+  // count of the event.
+  uint64_t Counted(const std::string& name) {
+    const obs::Counter* c = obs::Registry::Global().GetCounter(name);
+    return c->Value() - static_cast<uint64_t>(baseline_.ValueOf(name));
+  }
+
   serve::DecodeRequest<double> Request(serve::ModelId model,
                                        serve::DecodeKind kind,
                                        const std::vector<double>* obs,
@@ -273,6 +280,8 @@ class FrontEndTest : public ::testing::Test {
     return req;
   }
 
+  const obs::Snapshot baseline_ =
+      obs::Registry::Global().TakeSnapshot("frontend.");
   serve::ModelRegistry<double> registry_;
   std::unique_ptr<serve::FrontEnd<double>> frontend_;
 };
@@ -329,7 +338,7 @@ TEST_F(FrontEndTest, LoopbackBitwiseMatchesOfflineForEveryModel) {
       ++next_id;
     }
   }
-  EXPECT_EQ(frontend_->requests_served(), next_id - 1);
+  EXPECT_EQ(Counted("frontend.requests_served"), next_id - 1);
 }
 
 TEST_F(FrontEndTest, PipelinedRequestsAcrossModelsKeepTheirIds) {
@@ -380,7 +389,7 @@ TEST_F(FrontEndTest, UnknownModelIsTypedNotFound) {
           .ok());
   EXPECT_EQ(resp.status.code(), StatusCode::kNotFound);
   EXPECT_EQ(resp.request_id, 7u);
-  EXPECT_EQ(frontend_->routing_errors(), 1u);
+  EXPECT_EQ(Counted("frontend.routing_errors"), 1u);
 
   // The connection survives a routing error.
   ASSERT_TRUE(
@@ -409,7 +418,7 @@ TEST_F(FrontEndTest, ExpiredDeadlineIsTypedDeadlineExceeded) {
   ASSERT_TRUE(client.Receive(&resp).ok());
   EXPECT_EQ(resp.status.code(), StatusCode::kDeadlineExceeded);
   EXPECT_EQ(resp.request_id, 11u);
-  EXPECT_EQ(frontend_->deadline_expired(), 1u);
+  EXPECT_EQ(Counted("frontend.deadline_expired"), 1u);
 
   // An ample deadline decodes normally.
   req.deadline_micros = 60'000'000;
@@ -437,8 +446,8 @@ TEST_F(FrontEndTest, FullQueueShedsWithTypedUnavailable) {
             .ok());
   }
   // Wait until the IO thread has processed (and shed) the overflow.
-  for (int spin = 0; spin < 200 && frontend_->requests_shed() < kTotal - 2;
-       ++spin) {
+  for (int spin = 0;
+       spin < 200 && Counted("frontend.requests_shed") < kTotal - 2; ++spin) {
     std::this_thread::sleep_for(std::chrono::milliseconds(1));
   }
   frontend_->ResumeDispatch();
@@ -456,7 +465,7 @@ TEST_F(FrontEndTest, FullQueueShedsWithTypedUnavailable) {
   }
   EXPECT_EQ(ok, 2u);
   EXPECT_EQ(shed, kTotal - 2);
-  EXPECT_EQ(frontend_->requests_shed(), kTotal - 2);
+  EXPECT_EQ(Counted("frontend.requests_shed"), kTotal - 2);
 }
 
 TEST_F(FrontEndTest, MalformedPayloadGetsTypedErrorAndConnectionSurvives) {
@@ -478,7 +487,8 @@ TEST_F(FrontEndTest, MalformedPayloadGetsTypedErrorAndConnectionSurvives) {
   ASSERT_TRUE(client.Receive(&resp).ok());
   EXPECT_EQ(resp.status.code(), StatusCode::kInvalidArgument);
   EXPECT_EQ(resp.request_id, 21u);
-  EXPECT_EQ(frontend_->protocol_errors(), 1u);
+  EXPECT_EQ(Counted("frontend.protocol_errors"), 1u);
+  EXPECT_EQ(Counted("frontend.frames_malformed"), 1u);
 
   // Framing was intact, so the connection keeps working.
   ASSERT_TRUE(
@@ -496,6 +506,8 @@ TEST_F(FrontEndTest, GarbageHeaderClosesConnection) {
   ASSERT_TRUE(client.SendRaw(garbage.data(), garbage.size()).ok());
   serve::DecodeResponse resp;
   EXPECT_FALSE(client.Receive(&resp).ok());  // server closed the stream
+  EXPECT_EQ(Counted("frontend.protocol_errors"), 1u);
+  EXPECT_EQ(Counted("frontend.frames_malformed"), 0u);  // no frame to parse
 
   // The server itself is unharmed: a fresh connection decodes fine.
   const std::vector<double> obs = {0.5, 1.5};
@@ -503,6 +515,42 @@ TEST_F(FrontEndTest, GarbageHeaderClosesConnection) {
   ASSERT_TRUE(client2.Connect(frontend_->port()).ok());
   ASSERT_TRUE(
       client2.Call(Request(1, serve::DecodeKind::kViterbi, &obs, 31), &resp)
+          .ok());
+  EXPECT_TRUE(resp.status.ok());
+  EXPECT_EQ(Counted("frontend.connections_accepted"), 2u);
+}
+
+TEST_F(FrontEndTest, ConnectionsOverTheCapAreCountedAndRejected) {
+  ASSERT_TRUE(registry_.Register(1, MakeModel(3, 98)).ok());
+  serve::FrontEndOptions opts;
+  opts.max_connections = 1;
+  StartFrontEnd(opts);
+  const std::vector<double> obs = {0.5, 1.5};
+  serve::DecodeResponse resp;
+  serve::WireClient first;
+  ASSERT_TRUE(first.Connect(frontend_->port()).ok());
+  ASSERT_TRUE(
+      first.Call(Request(1, serve::DecodeKind::kViterbi, &obs, 33), &resp)
+          .ok());
+  EXPECT_TRUE(resp.status.ok());
+
+  // The kernel completes the second handshake from the listen backlog;
+  // the IO thread then accepts and immediately closes it.
+  serve::WireClient second;
+  ASSERT_TRUE(second.Connect(frontend_->port()).ok());
+  EXPECT_FALSE(
+      second.Call(Request(1, serve::DecodeKind::kViterbi, &obs, 34), &resp)
+          .ok());
+  for (int spin = 0;
+       spin < 200 && Counted("frontend.connections_rejected") < 1; ++spin) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  EXPECT_EQ(Counted("frontend.connections_rejected"), 1u);
+  EXPECT_EQ(Counted("frontend.connections_accepted"), 1u);
+
+  // The admitted connection keeps serving.
+  ASSERT_TRUE(
+      first.Call(Request(1, serve::DecodeKind::kViterbi, &obs, 35), &resp)
           .ok());
   EXPECT_TRUE(resp.status.ok());
 }
@@ -531,6 +579,7 @@ TEST_F(FrontEndTest, OversizedPayloadGetsOutOfRangeThenClose) {
   // After the typed response the connection is gone (its framing cannot
   // be resynchronized past an unread payload).
   EXPECT_FALSE(client.Receive(&resp).ok());
+  EXPECT_EQ(Counted("frontend.protocol_errors"), 1u);
 }
 
 TEST_F(FrontEndTest, SteadyStateWireRoundTripIsAllocationFree) {
@@ -605,16 +654,17 @@ TEST_F(FrontEndTest, SessionPushRoundTripsOverTheWire) {
   serve::WireClient client;
   ASSERT_TRUE(client.Connect(frontend_->port()).ok());
 
-  // Reference: the single-stream decoder over the same math, same lag.
+  // Reference: one in-process session at the same lag, on a manager of
+  // its own.
   const std::vector<double> obs = MakeObs(*model, 8, 142);
-  serve::StreamingOptions sopts;
-  sopts.lag = 2;
-  serve::StreamingDecoder<double> ref(model, sopts);
+  serve::SessionManager<double> ref(model, mopts);
+  const serve::SessionHandle ref_session = ref.CreateSession().value();
   std::vector<int> want_labels;
   for (const double y : obs) {
-    if (ref.Push(y)) want_labels.push_back(ref.last_label());
+    int label;
+    ASSERT_TRUE(ref.Push(ref_session, y, &label).ok());
+    if (label >= 0) want_labels.push_back(label);
   }
-  ASSERT_TRUE(ref.ok());
 
   // First push: 6 frames in, lag 2 => labels for frames 0..3 come back.
   const std::vector<double> first(obs.begin(), obs.begin() + 6);
@@ -639,7 +689,7 @@ TEST_F(FrontEndTest, SessionPushRoundTripsOverTheWire) {
   ASSERT_TRUE(resp.status.ok());
   EXPECT_EQ(resp.path,
             std::vector<int>(want_labels.begin() + 4, want_labels.end()));
-  EXPECT_EQ(resp.value, ref.log_likelihood());  // bitwise
+  EXPECT_EQ(resp.value, ref.LogLikelihood(ref_session).value());  // bitwise
   EXPECT_EQ(resp.model_version, 1u);
   EXPECT_EQ(sessions.live_sessions(), 1u);
 

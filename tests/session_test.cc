@@ -6,15 +6,22 @@
 //    the DPP-diversified transition update, for every thread count,
 //  - SessionManager full-lag decodes and running log-likelihoods are
 //    bitwise equal to offline PosteriorDecode / LogLikelihood for every
-//    pusher-thread count,
-//  - steady-state Push and a warm CreateSession / DestroySession cycle
-//    make zero heap allocations (instrumented operator new),
+//    pusher-thread count and sequence length, and at any lag the running
+//    log-likelihood is bitwise equal to offline on every prefix while
+//    labels leave the lag window on time,
+//  - steady-state Push, a warm CreateSession / DestroySession cycle, and
+//    ResetSession (also onto a hot-swapped same-shape model) make zero
+//    heap allocations (instrumented operator new),
+//  - an impossible observation — including a word a pseudo-count-0
+//    incremental Step left with zero probability — poisons only its own
+//    session, never the process or a sibling session,
 //  - generation-stamped handles: a destroyed session's handle resolves
 //    NotFound everywhere, and EvictIdle never touches a session whose
 //    push is still in flight,
 //  - the closed loop: live session posteriors feed the trainer, Step()
 //    improves the dataset log-likelihood, and the snapshot hot-swaps into
 //    the manager.
+#include <algorithm>
 #include <atomic>
 #include <condition_variable>
 #include <cstdint>
@@ -38,7 +45,9 @@
 #include "hmm/sampler.h"
 #include "hmm/sequence.h"
 #include "hmm/trainer.h"
+#include "prob/categorical_emission.h"
 #include "prob/gaussian_emission.h"
+#include "prob/logsumexp.h"
 #include "prob/rng.h"
 #include "serve/session_manager.h"
 
@@ -194,8 +203,12 @@ TEST(IncrementalEmTest, StepReadyGatesOnAccumulatedFrames) {
 
 TEST(SessionManagerTest, FullLagDecodesMatchOfflineBitwiseForEveryPusherCount) {
   auto model = MakeModel(4, 91);
-  const size_t kLen = 14;
-  hmm::Dataset<double> data = MakeData(*model, 8, kLen, 92);
+  const size_t kMaxLen = 16;
+  hmm::Dataset<double> data = MakeData(*model, 8, 14, 92);
+  // Edge lengths, down to a single frame, ride along in the same pool.
+  for (const size_t len : {1, 2, 7, 16}) {
+    data.push_back(MakeData(*model, 1, len, 82 + len)[0]);
+  }
 
   std::vector<std::vector<int>> want_paths;
   std::vector<double> want_loglik;
@@ -207,7 +220,7 @@ TEST(SessionManagerTest, FullLagDecodesMatchOfflineBitwiseForEveryPusherCount) {
 
   for (int pushers : {1, 4}) {
     serve::SessionManagerOptions opts;
-    opts.lag = kLen;  // full lag: everything flushes at Finish
+    opts.lag = kMaxLen;  // full lag: everything flushes at Finish
     serve::SessionManager<double> mgr(model, opts);
 
     std::vector<serve::SessionHandle> handles(data.size());
@@ -254,13 +267,63 @@ TEST(SessionManagerTest, FullLagDecodesMatchOfflineBitwiseForEveryPusherCount) {
       EXPECT_EQ(ll.value(), want_loglik[s]);  // bitwise
       auto frames = mgr.FramesPushed(handles[s]);
       ASSERT_TRUE(frames.ok());
-      EXPECT_EQ(frames.value(), kLen);
+      EXPECT_EQ(frames.value(), data[s].obs.size());
+    }
+  }
+}
+
+TEST(SessionManagerTest, FixedLagLabelsOnTimeAndPrefixLoglikBitwise) {
+  auto model = MakeModel(4, 71);
+  hmm::Dataset<double> data = MakeData(*model, 1, 20, 72);
+  const std::vector<double>& obs = data[0].obs;
+  const linalg::Matrix full_log_b = model->emission->LogProbTable(obs);
+  const std::vector<int> offline =
+      hmm::PosteriorDecode(model->pi, model->a, full_log_b);
+
+  // lag 0 is the aliasing-prone shape (one live frame in the ring) and
+  // emits filtered labels immediately.
+  for (const size_t lag : {0, 3, 4}) {
+    serve::SessionManagerOptions opts;
+    opts.lag = lag;
+    serve::SessionManager<double> mgr(model, opts);
+    auto created = mgr.CreateSession();
+    ASSERT_TRUE(created.ok());
+    const serve::SessionHandle h = created.value();
+
+    std::vector<int> labels;
+    for (size_t t = 0; t < obs.size(); ++t) {
+      int label = -2;
+      ASSERT_TRUE(mgr.Push(h, obs[t], &label).ok());
+      EXPECT_EQ(label >= 0, t >= lag) << "lag " << lag << " frame " << t;
+      if (label >= 0) labels.push_back(label);
+      const std::vector<double> prefix(obs.begin(), obs.begin() + t + 1);
+      const linalg::Matrix log_b = model->emission->LogProbTable(prefix);
+      auto ll = mgr.LogLikelihood(h);
+      ASSERT_TRUE(ll.ok());
+      EXPECT_EQ(ll.value(), hmm::LogLikelihood(model->pi, model->a, log_b))
+          << "lag " << lag << " prefix length " << t + 1;  // bitwise
+    }
+    EXPECT_EQ(labels.size(), obs.size() - lag);
+    ASSERT_TRUE(mgr.Finish(h, &labels).ok());
+    ASSERT_EQ(labels.size(), obs.size());
+    // The frames still inside the window at Finish (or, at lag 0, the
+    // final filtered frame: beta = 1 there in both) are smoothed against
+    // the true end of the sequence, so they agree exactly with offline
+    // posterior decoding.
+    for (size_t t = obs.size() - std::max<size_t>(lag, 1); t < obs.size();
+         ++t) {
+      EXPECT_EQ(labels[t], offline[t]) << "lag " << lag << " frame " << t;
+    }
+    for (const int label : labels) {
+      EXPECT_GE(label, 0);
+      EXPECT_LT(label, 4);
     }
   }
 }
 
 TEST(SessionManagerTest, ResetSessionRestartsAStreamInPlace) {
   auto model = MakeModel(3, 95);
+  auto swapped = MakeModel(3, 97);
   hmm::Dataset<double> data = MakeData(*model, 1, 9, 96);
   serve::SessionManagerOptions opts;
   opts.lag = data[0].obs.size();
@@ -269,23 +332,28 @@ TEST(SessionManagerTest, ResetSessionRestartsAStreamInPlace) {
   ASSERT_TRUE(created.ok());
   const serve::SessionHandle h = created.value();
 
-  const linalg::Matrix log_b = model->emission->LogProbTable(data[0].obs);
-  const std::vector<int> want =
-      hmm::PosteriorDecode(model->pi, model->a, log_b);
-
-  for (int run = 0; run < 2; ++run) {
+  // Runs 0 and 1 restart on the same model; before run 2 a hot swap makes
+  // the reset adopt the new snapshot, restarting the stream under it.
+  for (int run = 0; run < 3; ++run) {
+    const hmm::HmmModel<double>& m = run < 2 ? *model : *swapped;
+    const linalg::Matrix log_b = m.emission->LogProbTable(data[0].obs);
     int label;
     for (const double y : data[0].obs) ASSERT_TRUE(mgr.Push(h, y, &label).ok());
+    auto ll = mgr.LogLikelihood(h);
+    ASSERT_TRUE(ll.ok());
+    EXPECT_EQ(ll.value(), hmm::LogLikelihood(m.pi, m.a, log_b));  // bitwise
     std::vector<int> got;
     ASSERT_TRUE(mgr.Finish(h, &got).ok());
-    EXPECT_EQ(got, want);
+    EXPECT_EQ(got, hmm::PosteriorDecode(m.pi, m.a, log_b)) << "run " << run;
     // A finished stream rejects further pushes until the reset.
     EXPECT_EQ(mgr.Push(h, 0.0, &label).code(),
               StatusCode::kFailedPrecondition);
+    if (run == 1) mgr.UpdateModel(swapped);
     ASSERT_TRUE(mgr.ResetSession(h).ok());
     auto frames = mgr.FramesPushed(h);
     ASSERT_TRUE(frames.ok());
     EXPECT_EQ(frames.value(), 0u);
+    EXPECT_EQ(mgr.LogLikelihood(h).value_or(1.0), 0.0);
   }
 }
 
@@ -293,6 +361,7 @@ TEST(SessionManagerTest, ResetSessionRestartsAStreamInPlace) {
 
 TEST(SessionManagerTest, SteadyStatePushAndCreateDestroyAreAllocationFree) {
   auto model = MakeModel(4, 101);
+  auto swapped = MakeModel(4, 103);  // same state count: same ring shape
   hmm::Dataset<double> data = MakeData(*model, 1, 64, 102);
   serve::SessionManagerOptions opts;
   opts.lag = 4;
@@ -332,11 +401,113 @@ TEST(SessionManagerTest, SteadyStatePushAndCreateDestroyAreAllocationFree) {
     const Status st = mgr.DestroySession(c.value());
     if (!st.ok()) cycle_st = st;
   }
+  // A plain reset restarts the stream inside its warm ring block.
+  Status reset_st = mgr.ResetSession(a.value());
+  for (size_t t = 0; t < 16; ++t) {
+    const Status st = mgr.Push(a.value(), data[0].obs[t], &label);
+    if (!st.ok()) reset_st = st;
+  }
 
   const long after = g_alloc_count.load(std::memory_order_relaxed);
   EXPECT_TRUE(push_st.ok()) << push_st.message();
   EXPECT_TRUE(cycle_st.ok()) << cycle_st.message();
+  EXPECT_TRUE(reset_st.ok()) << reset_st.message();
   EXPECT_EQ(after - before, 0) << "steady-state session traffic allocated";
+
+  // The hot swap itself builds the new snapshot's context (allocates);
+  // the reset that adopts a same-shape snapshot, and the pushes under it,
+  // reuse the warm ring block.
+  mgr.UpdateModel(swapped);
+  const long swap_before = g_alloc_count.load(std::memory_order_relaxed);
+  Status swap_st = mgr.ResetSession(a.value());
+  for (size_t t = 0; t < 16; ++t) {
+    const Status st = mgr.Push(a.value(), data[0].obs[t], &label);
+    if (!st.ok()) swap_st = st;
+  }
+  const long swap_after = g_alloc_count.load(std::memory_order_relaxed);
+  EXPECT_TRUE(swap_st.ok()) << swap_st.message();
+  EXPECT_EQ(swap_after - swap_before, 0)
+      << "reset onto a same-shape hot-swapped model allocated";
+  EXPECT_EQ(mgr.FramesPushed(a.value()).value_or(0), 16u);
+}
+
+// ------------------------------------------------------- poisoned streams ---
+
+// The per-session error contract: a push of `bad` (zero probability in
+// every state) fails with InvalidArgument, is not consumed, and poisons
+// only its own session — further pushes and Finish report the error until
+// ResetSession — while a sibling session on the same manager keeps
+// serving. One bad frame never aborts the process.
+void ExpectBadWordPoisonsOnlyItsSession(serve::SessionManager<int>* mgr,
+                                        int good, int bad) {
+  auto victim = mgr->CreateSession();
+  auto bystander = mgr->CreateSession();
+  ASSERT_TRUE(victim.ok() && bystander.ok());
+  const serve::SessionHandle h = victim.value();
+  int label = -2;
+  ASSERT_TRUE(mgr->Push(h, good, &label).ok());
+  ASSERT_TRUE(mgr->Push(bystander.value(), good, &label).ok());
+
+  EXPECT_EQ(mgr->Push(h, bad, &label).code(), StatusCode::kInvalidArgument);
+  EXPECT_EQ(label, -1);
+  EXPECT_EQ(mgr->SessionStatus(h).code(), StatusCode::kInvalidArgument);
+  EXPECT_EQ(mgr->FramesPushed(h).value_or(0), 1u);  // not consumed
+  EXPECT_EQ(mgr->Push(h, good, &label).code(), StatusCode::kInvalidArgument);
+  std::vector<int> tail;
+  EXPECT_EQ(mgr->Finish(h, &tail).code(), StatusCode::kInvalidArgument);
+  EXPECT_TRUE(tail.empty());
+
+  for (int i = 0; i < 3; ++i) {
+    EXPECT_TRUE(mgr->Push(bystander.value(), good, &label).ok());
+  }
+  EXPECT_TRUE(mgr->SessionStatus(bystander.value()).ok());
+
+  ASSERT_TRUE(mgr->ResetSession(h).ok());
+  EXPECT_TRUE(mgr->SessionStatus(h).ok());
+  EXPECT_TRUE(mgr->Push(h, good, &label).ok());
+}
+
+TEST(SessionManagerTest, ImpossibleObservationPoisonsOnlyItsSession) {
+  auto model = std::make_shared<const hmm::HmmModel<int>>(
+      linalg::Vector{0.5, 0.5}, linalg::Matrix{{0.5, 0.5}, {0.5, 0.5}},
+      std::make_unique<prob::CategoricalEmission>(
+          linalg::Matrix{{0.5, 0.5, 0.0}, {0.25, 0.75, 0.0}}));
+  serve::SessionManagerOptions opts;
+  opts.lag = 0;
+  serve::SessionManager<int> mgr(model, opts);
+  ExpectBadWordPoisonsOnlyItsSession(&mgr, /*good=*/1, /*bad=*/2);
+}
+
+TEST(SessionManagerTest, WordUnseenByPseudoCountZeroStepPoisonsOnlyItsSession) {
+  // A categorical emission with pseudo-count 0 re-estimates every word
+  // the step's frames never contained to probability 0 in every state, so
+  // after the hot swap that word is an impossible observation.
+  auto init = std::make_shared<const hmm::HmmModel<int>>(
+      linalg::Vector{0.6, 0.4}, linalg::Matrix{{0.7, 0.3}, {0.2, 0.8}},
+      std::make_unique<prob::CategoricalEmission>(
+          linalg::Matrix{{0.4, 0.3, 0.2, 0.1}, {0.1, 0.2, 0.3, 0.4}},
+          /*pseudo_count=*/0.0));
+  hmm::Dataset<int> batch(2);
+  batch[0].obs = {0, 1, 2, 1, 0, 2};
+  batch[1].obs = {2, 2, 1, 0};
+  core::IncrementalEmTrainer<int> trainer(init);
+  trainer.AccumulateBatch(batch);
+  auto stepped = trainer.Step();
+  ASSERT_NE(stepped, nullptr);
+  for (size_t i = 0; i < 2; ++i) {
+    ASSERT_EQ(stepped->emission->LogProb(i, 3), prob::kNegInf);
+  }
+
+  serve::SessionManagerOptions opts;
+  opts.lag = 2;
+  serve::SessionManager<int> mgr(init, opts);
+  auto before_swap = mgr.CreateSession();
+  ASSERT_TRUE(before_swap.ok());
+  mgr.UpdateModel(stepped);
+  ExpectBadWordPoisonsOnlyItsSession(&mgr, /*good=*/0, /*bad=*/3);
+  // A session still bound to the pre-step snapshot accepts the word.
+  int label;
+  EXPECT_TRUE(mgr.Push(before_swap.value(), 3, &label).ok());
 }
 
 // ----------------------------------------------- handles, eviction, races ---
